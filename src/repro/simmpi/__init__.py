@@ -8,9 +8,9 @@ unmodified without an MPI installation:
 * :class:`~repro.simmpi.world.World` — spawns ``N`` rank threads running an
   SPMD function and hands each a :class:`~repro.simmpi.comm.Communicator`.
 * :class:`~repro.simmpi.procworld.ProcessWorld` — the **process** backend:
-  one forked OS process per rank with one-sided windows in
-  ``multiprocessing.shared_memory``, so compute-heavy phases run genuinely
-  in parallel across cores.  Select backends uniformly via
+  one forked OS process per rank with one-sided windows in mmap'd
+  ``/dev/shm`` files, so compute-heavy phases run genuinely in parallel
+  across cores.  Select backends uniformly via
   ``run_spmd(..., backend="process")`` or the ``REPRO_SPMD_BACKEND``
   environment variable (see :mod:`repro.simmpi.backend`).
 * :mod:`~repro.simmpi.collectives` — tree-structured collective algorithms

@@ -11,10 +11,9 @@ backends ship:
   can hand ranks arbitrary shared objects), but the GIL serialises the
   compute-heavy phases of a dump.
 * ``"process"`` — :class:`repro.simmpi.procworld.ProcessWorld`: every rank
-  is a forked OS process; one-sided windows live in
-  ``multiprocessing.shared_memory`` segments so ``Window.put``/``put_many``
-  are genuine zero-copy cross-process writes and ranks fingerprint, dedup
-  and pack in parallel across cores.
+  is a forked OS process; one-sided windows live in mmap'd ``/dev/shm``
+  files so ``Window.put``/``put_many`` are genuine zero-copy cross-process
+  writes and ranks fingerprint, dedup and pack in parallel across cores.
 
 :class:`~repro.simmpi.comm.Communicator`, the collective algorithms and
 :class:`~repro.simmpi.window.Window` are written against the abstract

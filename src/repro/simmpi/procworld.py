@@ -13,10 +13,10 @@ map onto ``multiprocessing`` primitives:
 * **barrier** — a ``multiprocessing.Barrier`` created per run and inherited
   through the fork; it raises the same :class:`threading.BrokenBarrierError`
   the communicator already handles.
-* **one-sided windows** — every exposure is a ``multiprocessing.shared_memory``
-  segment named deterministically from ``(world uid, run, window id, rank)``,
-  so any rank attaches a partner's window lazily by name and a
-  ``Window.put``/``put_many`` is a true zero-copy cross-process memcpy.  A
+* **one-sided windows** — every exposure is a file under ``/dev/shm``,
+  mapped with ``mmap`` and named deterministically from ``(world uid, run,
+  window id, rank)``, so any rank maps a partner's window lazily by name and
+  a ``Window.put``/``put_many`` is a true zero-copy cross-process memcpy.  A
   32-byte header (logical size, filled counter, deferred receive
   accounting) rides in front of the payload; access is serialised by a
   striped pool of ``multiprocessing.Lock`` objects shared by all ranks.
@@ -29,16 +29,23 @@ and stragglers are reported as :class:`~repro.simmpi.errors.DeadlockError`
 after the world timeout — the same contract the failure-injection and
 degraded-dump machinery is written against.
 
-Fork-only (POSIX): rank functions, their closures and the inherited cluster
-state need no pickling.  Rank results *are* pickled back to the parent, so
-programs must return picklable values — every report/dataclass in this
-library is.  Forked ranks write to copies of in-memory storage; see
+Segments are plain files rather than the standard library's shared-memory
+objects, so no process ever starts or registers with a resource tracker:
+owners unlink their own segments and the parent sweeps what a crashed child
+left behind.
+
+Fork-only and Linux-only (``/dev/shm``): rank functions, their closures and
+the inherited cluster state need no pickling.  Rank results *are* pickled
+back to the parent, so programs must return picklable values — every
+report/dataclass in this library is.  Forked ranks write to copies of in-memory storage; see
 :func:`repro.core.runner.run_collective` for the delta-merge driver that
 folds those writes back into the caller's cluster.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import os
 import pickle
 import queue
@@ -49,7 +56,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import multiprocessing
-from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 
 from repro.simmpi.backend import BaseWorld, resolve_timeout
 from repro.simmpi.comm import Communicator
@@ -60,6 +67,8 @@ from repro.simmpi.errors import (
     WorldError,
 )
 
+#: where segments live (a tmpfs on Linux)
+_SHM_DIR = "/dev/shm"
 #: slot header: u64 logical nbytes | u64 filled | u64 recv bytes | u64 recv msgs
 _HEADER = 32
 #: striped cross-process lock pool shared by every window slot
@@ -73,68 +82,99 @@ _COLLECT_SLACK = 2.0
 _CRASH_GRACE = 0.5
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> bool:
-    """Best-effort resource-tracker unregistration of ``shm``.
+class _Segment:
+    """A named file under ``/dev/shm`` mapped with :mod:`mmap`.
 
-    Pre-3.13 interpreters register every segment with the resource tracker
-    under the private ``shm._name`` attribute (the OS-level name, with the
-    platform's leading slash).  That attribute is a CPython implementation
-    detail: if it is gone or has changed shape, we must NOT guess a name to
-    unregister — unregistering the wrong entry could leak someone else's
-    segment.  Returns True when the segment was unregistered; on False the
-    caller degrades to a *tracked* segment, which at worst produces a
-    harmless tracker warning at interpreter exit, never a crash.
+    The owner creates it exclusively (``O_EXCL``: a stale file of the same
+    name is an error, never silently re-mapped) and unlinks it; peers open
+    it by name.  Nothing is registered with a resource tracker: cleanup is
+    the owner's :meth:`unlink` plus :class:`ProcessWorld`'s sweeps.
     """
-    raw = getattr(shm, "_name", None)
-    if not isinstance(raw, str) or not raw:
-        return False
+
+    __slots__ = ("name", "_mmap", "buf")
+
+    def __init__(self, name: str, mm: mmap.mmap) -> None:
+        self.name = name
+        self._mmap = mm
+        self.buf = memoryview(mm)
+
+    @classmethod
+    def create(cls, name: str, size: int) -> "_Segment":
+        """Create and map a new ``size``-byte segment; :class:`SimMPIError`
+        names the segment, size and errno when the OS refuses."""
+        path = os.path.join(_SHM_DIR, name)
+        fd = -1
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
+            os.ftruncate(fd, size)
+            mm = mmap.mmap(fd, size)
+        except OSError as exc:
+            if fd >= 0:
+                os.close(fd)
+                os.unlink(path)
+            raise SimMPIError(
+                f"cannot create shared segment {name} ({size} bytes): "
+                f"errno {exc.errno} ({exc.strerror})"
+            ) from None
+        os.close(fd)
+        return cls(name, mm)
+
+    @classmethod
+    def open(cls, name: str) -> "_Segment":
+        """Map an existing segment (raises ``FileNotFoundError``)."""
+        fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
+        try:
+            return cls(name, mmap.mmap(fd, 0))
+        finally:
+            os.close(fd)
+
+    def close(self) -> None:
+        self.buf.release()
+        try:
+            self._mmap.close()
+        except BufferError:
+            # A consumer kept a sub-view alive; the mapping is freed when
+            # that view dies.
+            pass
+
+    def unlink(self) -> None:
+        _unlink(self.name)
+
+
+def _unlink(name: str) -> None:
     try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(raw, "shared_memory")
-        return True
-    except Exception:
-        return False
+        os.unlink(os.path.join(_SHM_DIR, name))
+    except FileNotFoundError:
+        pass
 
 
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker registration.
-
-    Before Python 3.13 every attach registers with the resource tracker,
-    which then unlinks the segment when the *attaching* process exits —
-    yanking live windows out from under their owner.  3.13+ has
-    ``track=False``; earlier interpreters get an explicit unregister via
-    :func:`_untrack`, guarded so a CPython internals change degrades to a
-    tracked segment instead of crashing the attach.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, create=False, track=False)
-    except TypeError:  # Python < 3.13
-        shm = shared_memory.SharedMemory(name=name, create=False)
-        _untrack(shm)
-        return shm
+def _unlink_prefixed(prefix: str) -> None:
+    """Unlink every segment whose name starts with ``prefix``."""
+    for name in os.listdir(_SHM_DIR):
+        if name.startswith(prefix):
+            _unlink(name)
 
 
 class _ShmSlot:
     """One rank's exposed shared-memory region plus its striped lock.
 
     Layout: ``[u64 nbytes][u64 filled][u64 recv_bytes][u64 recv_msgs]``
-    followed by ``nbytes`` of payload (the OS may round the segment up to a
-    page, hence the explicit logical size).  ``recv_*`` accumulate remote
-    puts for the owner to drain at fence time
+    followed by ``nbytes`` of payload (a zero-byte window still maps one
+    payload byte, hence the explicit logical size).  ``recv_*`` accumulate
+    remote puts for the owner to drain at fence time
     (:meth:`~repro.simmpi.window.Window.fence` -> :meth:`take_received`),
     since a writer cannot reach the owner's trace across address spaces.
     """
 
-    __slots__ = ("_shm", "nbytes", "_lock")
+    __slots__ = ("_seg", "nbytes", "_lock")
 
-    def __init__(self, shm: shared_memory.SharedMemory, nbytes: int, lock) -> None:
-        self._shm = shm
+    def __init__(self, seg: _Segment, nbytes: int, lock) -> None:
+        self._seg = seg
         self.nbytes = int(nbytes)
         self._lock = lock
 
     def write(self, staged, remote: bool) -> None:
-        buf = self._shm.buf
+        buf = self._seg.buf
         with self._lock:
             total = 0
             for offset, payload in staged:
@@ -150,28 +190,25 @@ class _ShmSlot:
 
     def read(self, offset: int, nbytes: int) -> bytes:
         with self._lock:
-            return bytes(self._shm.buf[_HEADER + offset : _HEADER + offset + nbytes])
+            return bytes(self._seg.buf[_HEADER + offset : _HEADER + offset + nbytes])
 
     def snapshot(self) -> bytes:
         with self._lock:
-            return bytes(self._shm.buf[_HEADER : _HEADER + self.nbytes])
+            return bytes(self._seg.buf[_HEADER : _HEADER + self.nbytes])
 
     @property
     def filled(self) -> int:
         with self._lock:
-            return struct.unpack_from("<Q", self._shm.buf, 8)[0]
+            return struct.unpack_from("<Q", self._seg.buf, 8)[0]
 
     def take_received(self) -> Tuple[int, int]:
         with self._lock:
-            rbytes, rmsgs = struct.unpack_from("<QQ", self._shm.buf, 16)
-            struct.pack_into("<QQ", self._shm.buf, 16, 0, 0)
+            rbytes, rmsgs = struct.unpack_from("<QQ", self._seg.buf, 16)
+            struct.pack_into("<QQ", self._seg.buf, 16, 0, 0)
         return int(rbytes), int(rmsgs)
 
     def close(self) -> None:
-        try:
-            self._shm.close()
-        except Exception:
-            pass
+        self._seg.close()
 
 
 class _RemoteFailure:
@@ -229,6 +266,10 @@ class ProcessWorld(BaseWorld):
             raise SimMPIError(
                 "the process backend requires the fork start method (POSIX)"
             ) from None
+        if not os.path.isdir(_SHM_DIR):
+            raise SimMPIError(
+                f"the process backend requires a {_SHM_DIR} directory (Linux)"
+            )
         self._locks = [self._ctx.Lock() for _ in range(_N_LOCKS)]
         self._uid = f"{os.getpid():x}x{os.urandom(3).hex()}"
         self._run_seq = 0
@@ -241,7 +282,7 @@ class ProcessWorld(BaseWorld):
         self._child_rank: Optional[int] = None
         self._buffered: Dict[Tuple[int, int], deque] = {}
         self._open_slots: Dict[Tuple[int, int], _ShmSlot] = {}
-        self._owned_shm: Dict[Tuple[int, int], shared_memory.SharedMemory] = {}
+        self._owned_shm: Dict[Tuple[int, int], _Segment] = {}
 
     # -- identity / inspection ---------------------------------------------------
     def comm_for(self, rank: int) -> Communicator:
@@ -298,14 +339,12 @@ class ProcessWorld(BaseWorld):
         return self._locks[(abs(window_id) * 1000003 + rank) % _N_LOCKS]
 
     def window_create(self, window_id: int, rank: int, nbytes: int) -> _ShmSlot:
-        shm = shared_memory.SharedMemory(
-            name=self._shm_name(window_id, rank),
-            create=True,
-            size=_HEADER + max(1, nbytes),
+        seg = _Segment.create(
+            self._shm_name(window_id, rank), _HEADER + max(1, nbytes)
         )
-        struct.pack_into("<QQQQ", shm.buf, 0, nbytes, 0, 0, 0)
-        slot = _ShmSlot(shm, nbytes, self._lock_for(window_id, rank))
-        self._owned_shm[(window_id, rank)] = shm
+        struct.pack_into("<QQQQ", seg.buf, 0, nbytes, 0, 0, 0)
+        slot = _ShmSlot(seg, nbytes, self._lock_for(window_id, rank))
+        self._owned_shm[(window_id, rank)] = seg
         self._open_slots[(window_id, rank)] = slot
         return slot
 
@@ -313,14 +352,14 @@ class ProcessWorld(BaseWorld):
         slot = self._open_slots.get((window_id, rank))
         if slot is None:
             try:
-                shm = _attach_untracked(self._shm_name(window_id, rank))
+                seg = _Segment.open(self._shm_name(window_id, rank))
             except FileNotFoundError:
                 raise SimMPIError(
                     f"window {window_id} not exposed by rank {rank} "
                     "(put before collective create completed?)"
                 ) from None
-            nbytes = struct.unpack_from("<Q", shm.buf, 0)[0]
-            slot = _ShmSlot(shm, int(nbytes), self._lock_for(window_id, rank))
+            nbytes = struct.unpack_from("<Q", seg.buf, 0)[0]
+            slot = _ShmSlot(seg, int(nbytes), self._lock_for(window_id, rank))
             self._open_slots[(window_id, rank)] = slot
         return slot
 
@@ -328,12 +367,9 @@ class ProcessWorld(BaseWorld):
         # Close every cached handle of this window (own and partners').
         for key in [k for k in self._open_slots if k[0] == window_id]:
             self._open_slots.pop(key).close()
-        shm = self._owned_shm.pop((window_id, rank), None)
-        if shm is not None:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+        seg = self._owned_shm.pop((window_id, rank), None)
+        if seg is not None:
+            seg.unlink()
 
     # charge_put_received: inherited no-op — remote puts are accounted in the
     # slot header by write(remote=True) and drained at the owner's fence.
@@ -342,136 +378,54 @@ class ProcessWorld(BaseWorld):
     #
     # Large rank results — the packed cluster deltas of the merge-back
     # protocol (see repro.storage.delta_codec) — would otherwise be pickled
-    # through the result queue's pipe.  Instead a child stages the blob in
-    # a dedicated shared-memory segment and ships only (name, nbytes); the
-    # parent maps the segment after run() and decodes in place.  The
-    # segments use the distinct "psr" prefix: the per-run "psm" sweep must
-    # NOT reclaim them (the parent reads them *after* run() returns) —
-    # they are reclaimed by open_result_blob itself, by
-    # sweep_result_blobs() on failure paths, and at the next run() start.
+    # through the result pipe.  Instead a child stages the blob in a
+    # dedicated segment and ships only (name, nbytes); the parent maps the
+    # segment after run() and decodes in place.  The segments use the
+    # distinct "psr" prefix: the per-run "psm" sweep must NOT reclaim them
+    # (the parent reads them *after* run() returns) — they are reclaimed by
+    # open_result_blob itself, by sweep_result_blobs() on failure paths,
+    # and at the next run() start.
 
     def _result_blob_prefix(self) -> str:
         return f"psr{self._uid}-"
 
     def stage_result_blob(self, rank: int, blob) -> Any:
-        """Child side: park ``blob`` in a fresh shared segment; return a
-        small transportable handle.  Falls back to shipping the bytes
-        inline (through the result pickle) if the segment cannot be
-        created."""
+        """Child side: park ``blob`` in a fresh segment; return a small
+        transportable handle.  Raises :class:`SimMPIError` if the segment
+        cannot be created."""
         nbytes = len(blob)
         self._blob_seq += 1
         name = f"{self._result_blob_prefix()}{self._run_seq}-{rank}-{self._blob_seq}"
-        try:
-            shm = shared_memory.SharedMemory(
-                name=name, create=True, size=max(1, nbytes)
-            )
-        except Exception:
-            return ("inline", bytes(blob))
-        shm.buf[:nbytes] = blob
-        # The child must not let its exit unlink the segment before the
-        # parent reads it: unregister from the tracker (guarded — on
-        # failure the segment stays tracked, worst case a tracker warning).
-        _untrack(shm)
-        shm.close()
+        seg = _Segment.create(name, max(1, nbytes))
+        seg.buf[:nbytes] = blob
+        seg.close()
         return ("shm", name, nbytes)
 
+    @contextlib.contextmanager
     def open_result_blob(self, handle):
         """Parent side: context manager yielding the staged blob's buffer.
 
         The segment is unlinked on exit — a handle is single-use.
+        Consumers must not keep sub-views past the ``with`` block.
         """
-        import contextlib
-        import mmap as mmap_mod
-
-        @contextlib.contextmanager
-        def _open():
-            kind = handle[0]
-            if kind == "inline":
-                yield memoryview(handle[1])
-                return
-            _kind, name, nbytes = handle
-            # Map the segment as the plain /dev/shm file it is on Linux
-            # (the same assumption _sweep_leaked_shm makes) instead of
-            # attaching through SharedMemory: a pre-3.13 attach would
-            # register with the resource tracker and thereby *spawn* a
-            # tracker in the parent, which later forks then share — and
-            # the children's per-segment register/unregister toggling is
-            # only balanced against private per-child trackers.
-            path = os.path.join("/dev/shm", name)
+        _kind, name, nbytes = handle
+        seg = _Segment.open(name)
+        view = seg.buf[:nbytes]
+        try:
+            yield view
+        finally:
             try:
-                f = open(path, "rb")
-            except OSError:
-                # Not a /dev/shm platform: attach through SharedMemory
-                # instead (tracker registration noise beats failing).
-                shm = _attach_untracked(name)
-                view = shm.buf[:nbytes]
-                try:
-                    yield view
-                finally:
-                    try:
-                        view.release()
-                    except Exception:
-                        pass
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:
-                        pass
-                    try:
-                        shm.close()
-                    except BufferError:
-                        pass
-                return
-            try:
-                mm = mmap_mod.mmap(f.fileno(), 0, access=mmap_mod.ACCESS_READ)
-            except ValueError:
-                # Zero-length file (empty blob staged in a 1-byte segment
-                # is never zero-length; this is pure defence).
-                f.close()
-                os.unlink(path)
-                yield memoryview(b"")
-                return
-            view = memoryview(mm)[:nbytes]
-            try:
-                yield view
-            finally:
-                # Consumers must not keep sub-views past the with block;
-                # release ours so the mapping can actually close.
-                try:
-                    view.release()
-                except Exception:
-                    pass
-                try:
-                    mm.close()
-                except BufferError:
-                    # A consumer kept a view alive; the mapping is freed
-                    # when that view dies — the name is unlinked below.
-                    pass
-                f.close()
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-
-        return _open()
+                view.release()
+            except BufferError:
+                pass  # a consumer still holds a view; the mapping dies with it
+            seg.close()
+            seg.unlink()
 
     def sweep_result_blobs(self) -> None:
         """Unlink staged result segments that were never consumed (failed
         runs, crashed children).  Called at run() start and by the
         merge-back driver's failure paths."""
-        shm_dir = "/dev/shm"
-        prefix = self._result_blob_prefix()
-        if not os.path.isdir(shm_dir):
-            return
-        try:
-            names = os.listdir(shm_dir)
-        except OSError:
-            return
-        for name in names:
-            if name.startswith(prefix):
-                try:
-                    os.unlink(os.path.join(shm_dir, name))
-                except OSError:
-                    pass
+        _unlink_prefixed(self._result_blob_prefix())
 
     # -- execution ---------------------------------------------------------------
     def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> List[Any]:
@@ -488,14 +442,16 @@ class ProcessWorld(BaseWorld):
         self.sweep_result_blobs()
         self.barrier = ctx.Barrier(self.size)
         self._inboxes = [ctx.Queue() for _ in range(self.size)]
-        # SimpleQueue: puts pickle synchronously in the child (serialisation
-        # errors are catchable there) and nothing is lost in a feeder thread
-        # if the child dies right after reporting.
-        results_q = ctx.SimpleQueue()
+        # One result pipe shared by all ranks: children pickle synchronously
+        # (serialisation errors are catchable there), write whole messages
+        # under a lock, and nothing is lost in a feeder thread if a child
+        # dies right after reporting.
+        reader, writer = ctx.Pipe(duplex=False)
+        report = (writer, ctx.Lock())
         procs = [
             ctx.Process(
                 target=self._child_main,
-                args=(rank, results_q, fn, args, kwargs),
+                args=(rank, report, fn, args, kwargs),
                 name=f"simmpi-proc-rank-{rank}",
                 daemon=True,
             )
@@ -526,10 +482,15 @@ class ProcessWorld(BaseWorld):
             else:
                 failures[rank] = payload.to_exception()
 
+        def absorb_next(timeout: float) -> bool:
+            if not reader.poll(timeout):
+                return False
+            absorb(pickle.loads(reader.recv_bytes()))
+            return True
+
         deadline = time.monotonic() + self.timeout + _COLLECT_SLACK
         while pending and time.monotonic() < deadline:
-            if not results_q.empty():
-                absorb(results_q.get())
+            if absorb_next(0):
                 continue
             now = time.monotonic()
             for rank in sorted(pending):
@@ -539,24 +500,28 @@ class ProcessWorld(BaseWorld):
                 # grace before declaring a hard crash.
                 first_seen = dead_since.setdefault(rank, now)
                 if now - first_seen > _CRASH_GRACE:
+                    del dead_since[rank]
                     failures[rank] = RankCrashError(
                         f"rank {rank} process exited with code "
                         f"{procs[rank].exitcode} without reporting a result"
                     )
                     pending.discard(rank)
                     abort_barrier()
-            time.sleep(0.005)
+            # Sleep until a result arrives, a live rank dies, the earliest
+            # crash grace runs out or the deadline passes.
+            wake = min(
+                [deadline] + [t + _CRASH_GRACE for t in dead_since.values()]
+            )
+            live = [procs[r].sentinel for r in pending if r not in dead_since]
+            wait([reader] + live, max(0.0, wake - time.monotonic()) + 0.001)
 
         if pending:
             # Stragglers past the world budget: release the barrier, grant a
             # short grace to unwind, then report them stuck.
             abort_barrier()
             grace = time.monotonic() + 1.0
-            while pending and time.monotonic() < grace:
-                if not results_q.empty():
-                    absorb(results_q.get())
-                else:
-                    time.sleep(0.01)
+            while pending and absorb_next(max(0.0, grace - time.monotonic())):
+                pass
             for rank in sorted(pending):
                 failures[rank] = DeadlockError(
                     f"rank {rank} did not finish within the world timeout "
@@ -583,6 +548,8 @@ class ProcessWorld(BaseWorld):
                 self._comms[rank] = comm
 
         self._sweep_leaked_shm()
+        reader.close()
+        writer.close()
         for inbox in self._inboxes:
             inbox.close()
         self._inboxes = None
@@ -590,7 +557,7 @@ class ProcessWorld(BaseWorld):
             raise WorldError(failures)
         return results
 
-    def _child_main(self, rank, results_q, fn, args, kwargs) -> None:
+    def _child_main(self, rank, report, fn, args, kwargs) -> None:
         self._child_rank = rank
         self._buffered = {}
         self._open_slots = {}
@@ -609,9 +576,12 @@ class ProcessWorld(BaseWorld):
                 pass
         finally:
             try:
-                results_q.put((rank, status, payload, comm.trace))
+                record = pickle.dumps((rank, status, payload, comm.trace))
             except Exception as exc:  # unpicklable result/trace
-                results_q.put((rank, "err", _RemoteFailure(exc), None))
+                record = pickle.dumps((rank, "err", _RemoteFailure(exc), None))
+            writer, lock = report
+            with lock:
+                writer.send_bytes(record)
             self._release_all_shm()
 
     def _release_all_shm(self) -> None:
@@ -622,27 +592,11 @@ class ProcessWorld(BaseWorld):
         """
         for slot in self._open_slots.values():
             slot.close()
-        for shm in self._owned_shm.values():
-            try:
-                shm.unlink()
-            except Exception:
-                pass
+        for seg in self._owned_shm.values():
+            seg.unlink()
         self._open_slots.clear()
         self._owned_shm.clear()
 
     def _sweep_leaked_shm(self) -> None:
         """Parent-side safety net: unlink segments of hard-killed children."""
-        shm_dir = "/dev/shm"
-        prefix = f"psm{self._uid}-{self._run_seq}-"
-        if not os.path.isdir(shm_dir):
-            return
-        try:
-            names = os.listdir(shm_dir)
-        except OSError:
-            return
-        for name in names:
-            if name.startswith(prefix):
-                try:
-                    os.unlink(os.path.join(shm_dir, name))
-                except OSError:
-                    pass
+        _unlink_prefixed(f"psm{self._uid}-{self._run_seq}-")

@@ -9,8 +9,8 @@ byte offset, and ``fence`` epochs separating accumulation from local reads.
 The class is backend-neutral: all storage and synchronisation is delegated
 to the *slot* objects of the owning world (see
 :class:`~repro.simmpi.backend.BaseWorld`) — a locked ``bytearray`` under
-the thread backend, a ``multiprocessing.shared_memory`` segment under the
-process backend, where a put is a genuine zero-copy cross-process write.
+the thread backend, an mmap'd ``/dev/shm`` file under the process backend,
+where a put is a genuine zero-copy cross-process write.
 
 Out-of-bounds puts raise :class:`~repro.simmpi.errors.WindowError` — in the
 reproduction this is the safety net that catches any error in the offset

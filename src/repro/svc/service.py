@@ -787,13 +787,24 @@ class CheckpointService:
     def cross_tenant_dedup_ratio(self) -> float:
         """Fraction of the tenants' combined dedup'd footprints the service
         avoids storing thanks to cross-tenant sharing: ``1 - unique /
-        sum(per-tenant referenced)``; 0.0 with one tenant or no sharing."""
-        per_tenant = sum(
-            self.index.referenced_bytes(t) for t in self._tenants
-        )
+        sum(per-tenant referenced)``; 0.0 with one tenant or no sharing.
+
+        A tenant's chain epochs reference chunks under
+        ``<tenant>/chain:<epoch>`` owners; those fold into the tenant, so
+        every live chunk counts once per referencing tenant (one index
+        pass)."""
+        unique = per_tenant = 0
+        for _fp, entry in self.index.items():
+            unique += entry.size
+            tenants = {
+                owner if owner in self._tenants
+                else owner.rpartition("/chain:")[0]
+                for owner, refs in entry.refs.items() if refs > 0
+            }
+            per_tenant += entry.size * len(tenants)
         if not per_tenant:
             return 0.0
-        return 1.0 - self.index.unique_bytes / per_tenant
+        return 1.0 - unique / per_tenant
 
     def isolation_audit(self) -> List[str]:
         """Cross-check namespaces against the owner table; each returned

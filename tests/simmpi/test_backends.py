@@ -3,6 +3,7 @@ p2p/collectives/windows, crash surfacing and environment overrides."""
 
 import os
 import queue
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.simmpi import (
     run_spmd,
 )
 from repro.simmpi.backend import BACKEND_ENV, DEFAULT_TIMEOUT, TIMEOUT_ENV, world_class
+from repro.simmpi.errors import SimMPIError
 
 
 class TestBackendRegistry:
@@ -108,7 +110,7 @@ class TestTimeoutResolution:
 
 
 class TestProcessBackend:
-    """The multiprocessing + shared_memory backend, small worlds."""
+    """The fork + ``/dev/shm`` backend, small worlds."""
 
     def test_single_rank(self):
         assert run_spmd(1, lambda comm: comm.rank * 10, backend="process") == [0]
@@ -212,6 +214,62 @@ class TestProcessBackend:
 
         assert run_spmd(2, prog, backend="process", timeout=30) == [1, 2]
         assert box["value"] == 0
+
+
+def _segment_files(world):
+    return [
+        n for n in os.listdir("/dev/shm")
+        if n.startswith((f"psm{world._uid}", f"psr{world._uid}"))
+    ]
+
+
+class TestShmTransport:
+    """Windows and result blobs are plain ``/dev/shm`` files: no process
+    starts a resource tracker and nothing is left behind."""
+
+    def test_no_resource_tracker_and_no_leftovers(self):
+        assert resource_tracker._resource_tracker._pid is None
+
+        def prog(comm):
+            win = Window.create(comm, 64)
+            win.put(bytes([comm.rank + 1]) * 64, (comm.rank + 1) % comm.size, 0)
+            win.fence()
+            view = win.local_view()
+            win.free()
+            handle = comm.world.stage_result_blob(comm.rank, view)
+            return resource_tracker._resource_tracker._pid, handle
+
+        world = ProcessWorld(2, timeout=30)
+        results = world.run(prog)
+        for rank, (tracker_pid, handle) in enumerate(results):
+            assert tracker_pid is None
+            with world.open_result_blob(handle) as buf:
+                assert bytes(buf) == bytes([(rank - 1) % 2 + 1]) * 64
+        assert resource_tracker._resource_tracker._pid is None
+        assert _segment_files(world) == []
+
+    def test_missing_shm_dir_is_rejected(self, monkeypatch):
+        from repro.simmpi import procworld
+
+        absent = os.path.join(os.path.dirname(__file__), "no-such-shm-dir")
+        monkeypatch.setattr(procworld, "_SHM_DIR", absent)
+        with pytest.raises(SimMPIError, match="no-such-shm-dir"):
+            ProcessWorld(2)
+
+    def test_stale_window_file_is_never_mapped(self):
+        world = ProcessWorld(2, timeout=30)
+        name = world._shm_name(7, 0)
+        path = os.path.join("/dev/shm", name)
+        with open(path, "wb") as f:
+            f.write(b"\xff" * 64)
+        try:
+            with pytest.raises(SimMPIError, match=name):
+                world.window_create(7, 0, 16)
+            with open(path, "rb") as f:
+                assert f.read() == b"\xff" * 64
+        finally:
+            os.unlink(path)
+        assert _segment_files(world) == []
 
 
 class TestProcessBackendFailures:

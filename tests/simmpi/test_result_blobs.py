@@ -1,18 +1,21 @@
 """Out-of-band result-blob transport (stage/open/sweep).
 
 The process backend's merge-back protocol ships each rank's packed cluster
-delta through a staged shared-memory segment instead of pickling it
-through the result queue; the parent reads it back by mapping the
-``/dev/shm`` file directly (never via ``SharedMemory``, which would spawn
-a parent-side resource tracker that later forks inherit — see
+delta through a staged segment — a plain ``/dev/shm`` file the child
+creates and fills — instead of pickling it through the result pipe; the
+parent maps the file, reads it in place and unlinks it (see
 ``ProcessWorld.open_result_blob``).  These tests drive the protocol the
 way :func:`repro.core.runner.run_collective` does: staging happens in
 forked children, open/sweep in the parent.
 """
 
+import errno
 import glob
 import os
 
+import pytest
+
+from repro.simmpi.errors import SimMPIError
 from repro.simmpi.procworld import ProcessWorld
 from repro.simmpi.world import World
 
@@ -44,8 +47,7 @@ class TestProcessTransport:
         handles = world.run(_stage, payloads)
         assert _shm_files(world), "blobs should be parked in /dev/shm"
         for rank, handle in enumerate(handles):
-            kind = handle[0]
-            assert kind in ("shm", "inline")
+            assert handle[0] == "shm"
             with world.open_result_blob(handle) as buf:
                 assert bytes(buf) == payloads[rank]
         # Opening is consuming: every staged segment is gone afterwards.
@@ -76,9 +78,22 @@ class TestProcessTransport:
         world.run(lambda comm: comm.rank)
         assert _shm_files(world) == []
 
-    def test_inline_fallback_roundtrip(self):
-        """When segment creation fails the handle degrades to inline bytes;
-        the parent-side open must accept that shape unchanged."""
+    def test_failed_create_raises_typed_error(self):
+        """A segment that cannot be created is an error naming the
+        segment, its size and the errno — never a silent fallback."""
         world = ProcessWorld(2, timeout=60)
-        with world.open_result_blob(("inline", b"fallback-bytes")) as buf:
-            assert bytes(buf) == b"fallback-bytes"
+        name = f"{world._result_blob_prefix()}{world._run_seq}-0-1"
+        path = os.path.join("/dev/shm", name)
+        with open(path, "wb") as f:  # occupy the next staging name
+            f.write(b"stale")
+        try:
+            with pytest.raises(SimMPIError) as err:
+                world.stage_result_blob(0, b"x" * 100)
+            message = str(err.value)
+            assert name in message
+            assert "100 bytes" in message
+            assert f"errno {errno.EEXIST}" in message
+            with open(path, "rb") as f:
+                assert f.read() == b"stale"
+        finally:
+            os.unlink(path)

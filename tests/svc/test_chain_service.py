@@ -219,6 +219,47 @@ class TestSharedIndexIsolation:
         assert not service.isolation_audit()
 
 
+def reference_dedup_ratio(service):
+    """Brute force: each tenant's footprint is every chunk it or one of
+    its ``<tenant>/chain:<epoch>`` owners references."""
+    entries = [entry for _fp, entry in service.index.items()]
+    unique = sum(entry.size for entry in entries)
+    per_tenant = 0
+    for tenant in service.tenants():
+        per_tenant += sum(
+            entry.size
+            for entry in entries
+            if any(
+                refs > 0 and (
+                    owner == tenant or owner.startswith(f"{tenant}/chain:")
+                )
+                for owner, refs in entry.refs.items()
+            )
+        )
+    return 1.0 - unique / per_tenant if per_tenant else 0.0
+
+
+class TestCrossTenantRatioWithChains:
+    def test_chain_owners_fold_into_their_tenant(self):
+        """Chain epochs reference chunks under chain owner names; the
+        ratio counts them as their tenant's, so it stays a fraction."""
+        service = make_service()
+        for name in ("a", "b"):
+            service.register_tenant(name)
+        grow_chain(service, "a", make_workload(seed=7), deltas=3)
+        grow_chain(service, "b", make_workload(seed=7), deltas=1)
+        service.submit("b", make_workload(seed=8))
+        service.drain()
+        ratio = service.cross_tenant_dedup_ratio()
+        assert 0.0 <= ratio < 1.0
+        assert ratio > 0.0  # b's chain shares a's seed-7 content
+        assert ratio == pytest.approx(reference_dedup_ratio(service))
+        service.chain_gc("a")
+        ratio = service.cross_tenant_dedup_ratio()
+        assert 0.0 <= ratio < 1.0
+        assert ratio == pytest.approx(reference_dedup_ratio(service))
+
+
 class TestBrokenChainSurfacing:
     def test_restore_of_pruned_epoch_raises_typed_error(self):
         service = make_service()
