@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chain.errors import ChainBrokenError, ChainStateError
-from repro.chain.node import ChainNode, chunk_slices
+from repro.chain.node import ChainNode, chunk_lengths, chunk_slices
 from repro.core.chunking import Dataset, as_bytes_view
 from repro.core.config import DumpConfig
 from repro.core.fingerprint import Fingerprinter
@@ -584,14 +584,10 @@ class ChainManager:
         (never directly restorable) deltas."""
         cs = self.config.chunk_size
         for rank in range(self.n):
-            if node.kind == "full":
-                lengths = [
-                    length for _seg, _start, length
-                    in chunk_slices(node.segment_lengths[rank], cs)
-                ]
-            else:
-                slices = chunk_slices(node.segment_lengths[rank], cs)
-                lengths = [slices[i][2] for i in node.positions[rank]]
+            lengths = chunk_lengths(
+                node.segment_lengths[rank], cs,
+                None if node.kind == "full" else node.positions[rank],
+            )
             kept_lengths = []
             kept_fps = []
             for fp, length in zip(node.fps[rank], lengths):

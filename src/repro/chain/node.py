@@ -11,7 +11,9 @@ in-place rewrite on compaction) and the ``repro.chain/v1`` codec
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, Optional
 
 #: node kinds; a chain always terminates at a ``full`` node
@@ -83,4 +85,30 @@ def chunk_slices(segment_lengths: List[int], chunk_size: int):
     for seg_idx, nbytes in enumerate(segment_lengths):
         for start in range(0, nbytes, chunk_size):
             out.append((seg_idx, start, min(chunk_size, nbytes - start)))
+    return out
+
+
+def chunk_lengths(
+    segment_lengths: List[int],
+    chunk_size: int,
+    positions: Optional[List[int]] = None,
+) -> List[int]:
+    """Byte length of every flat chunk of the given segment geometry, or of
+    the chunks at ``positions`` only — the length column of
+    :func:`chunk_slices`, worked out arithmetically without building it."""
+    if positions is None:
+        out: List[int] = []
+        for nbytes in segment_lengths:
+            full, tail = divmod(nbytes, chunk_size)
+            out.extend([chunk_size] * full)
+            if tail:
+                out.append(tail)
+        return out
+    # first flat chunk index of each segment
+    firsts = [0, *accumulate(-(-n // chunk_size) for n in segment_lengths)]
+    out = []
+    for i in positions:
+        seg = bisect_right(firsts, i) - 1
+        start = (i - firsts[seg]) * chunk_size
+        out.append(min(chunk_size, segment_lengths[seg] - start))
     return out

@@ -259,8 +259,9 @@ def check_tenant_isolation(service, step: int) -> List[Violation]:
 def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
     """The global dedup index must equal a from-scratch recount of every
     live dump's manifests (dead nodes included), every indexed chunk must
-    still be stored somewhere, and attribution must bill exactly the
-    unique bytes regardless of policy."""
+    still be stored somewhere, attribution must bill exactly the unique
+    bytes regardless of policy, and the index's running totals (unique
+    bytes, the dedup ratio) must equal the same recount."""
     out: List[Violation] = []
     cluster = service.cluster
     expected: Dict[bytes, Dict[str, int]] = {}
@@ -298,7 +299,9 @@ def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
                 f"chunk {fp.hex()[:12]}: index refs {dict(entry.refs)} "
                 f"!= manifest recount {expected[fp]}",
             ))
+    summed = 0
     for fp, entry in sorted(service.index.items()):
+        summed += entry.size
         if fp not in expected:
             out.append(Violation(
                 "cross-tenant-accounting", step,
@@ -310,6 +313,26 @@ def check_cross_tenant_accounting(service, step: int) -> List[Violation]:
                 "cross-tenant-accounting", step,
                 f"indexed chunk {fp.hex()[:12]} is stored on no node",
             ))
+    if service.index.unique_bytes != summed:
+        out.append(Violation(
+            "cross-tenant-accounting", step,
+            f"index running total says {service.index.unique_bytes} unique "
+            f"bytes but its entries sum to {summed}",
+        ))
+    unique = per_tenant = 0
+    for fp, refs in expected.items():
+        if service.index.has(fp):
+            size = service.index.get(fp).size
+            unique += size
+            per_tenant += size * len(refs)
+    recounted = 1.0 - unique / per_tenant if per_tenant else 0.0
+    ratio = service.cross_tenant_dedup_ratio()
+    if abs(ratio - recounted) > 1e-12:
+        out.append(Violation(
+            "cross-tenant-accounting", step,
+            f"cross-tenant dedup ratio {ratio} != {recounted} recounted "
+            f"from live manifests",
+        ))
     names = service.tenants()
     for policy in ("first-writer", "split"):
         charged = sum(

@@ -149,6 +149,8 @@ class CheckpointService:
         self.tick = 0
         self._tenants: Dict[str, TenantState] = {}
         self._dump_owner: Dict[int, str] = {}
+        #: global dump id -> ticket of the service dump that wrote it
+        self._dump_ticket: Dict[int, int] = {}
         #: global dump id -> distinct fingerprints its manifests reference
         self._dump_fps: Dict[int, List] = {}
         self._pending: Dict[int, DumpRequest] = {}
@@ -364,20 +366,18 @@ class CheckpointService:
         # crashed node still pins its chunks, and GC later drops manifests
         # everywhere — missing one here would orphan chunks on revival.
         fps: Set = set()
-        seen_ranks: Set[int] = set()
-        for node in cluster.nodes:
-            for rank, dump_id in node.manifest_keys():
-                if dump_id != global_id or rank in seen_ranks:
-                    continue
-                seen_ranks.add(rank)
-                fps.update(node.get_manifest(rank, dump_id).fingerprints)
+        for rank in range(n):
+            for node in cluster.nodes:
+                if node.has_manifest(rank, global_id):
+                    fps.update(node.get_manifest(rank, global_id).fingerprints)
+                    break
         ordered = sorted(fps)
         new_chunks = 0
         cross_hits = 0
         for fp in ordered:
             if (
                 self.index.has(fp)
-                and request.tenant not in self.index.get(fp).refs
+                and request.tenant not in self.index.get(fp).holders
             ):
                 cross_hits += 1
             if self.index.record(request.tenant, fp, self._stored_size(fp)):
@@ -385,6 +385,7 @@ class CheckpointService:
 
         state.namespace[tenant_dump_id] = global_id
         self._dump_owner[global_id] = request.tenant
+        self._dump_ticket[global_id] = request.ticket
         self._dump_fps[global_id] = ordered
         actual_bytes = sum(r.dataset_bytes for r in reports)
         actual_chunks = sum(r.n_chunks for r in reports)
@@ -559,7 +560,7 @@ class CheckpointService:
                 freed = node.drop_manifest(rank, global_id)
                 if freed:
                     outcome.manifests_dropped += 1
-        ticket = self._ticket_of(global_id)
+        ticket = self._dump_ticket.pop(global_id, None)
         reports = self._outcomes[ticket].reports if ticket is not None else []
         state.usage.logical_bytes = max(
             0,
@@ -777,34 +778,18 @@ class CheckpointService:
         self.trace.metrics.counter("svc_chain_epochs_compacted").inc()
         return outcome
 
-    def _ticket_of(self, global_id: int) -> Optional[int]:
-        for ticket, outcome in self._outcomes.items():
-            if outcome.global_dump_id == global_id:
-                return ticket
-        return None
-
     # -- introspection -----------------------------------------------------------
     def cross_tenant_dedup_ratio(self) -> float:
         """Fraction of the tenants' combined dedup'd footprints the service
         avoids storing thanks to cross-tenant sharing: ``1 - unique /
         sum(per-tenant referenced)``; 0.0 with one tenant or no sharing.
 
-        A tenant's chain epochs reference chunks under
-        ``<tenant>/chain:<epoch>`` owners; those fold into the tenant, so
-        every live chunk counts once per referencing tenant (one index
-        pass)."""
-        unique = per_tenant = 0
-        for _fp, entry in self.index.items():
-            unique += entry.size
-            tenants = {
-                owner if owner in self._tenants
-                else owner.rpartition("/chain:")[0]
-                for owner, refs in entry.refs.items() if refs > 0
-            }
-            per_tenant += entry.size * len(tenants)
+        Reads the index's running totals (chain epochs already folded into
+        their tenant), so it costs O(shards), not a pass over the index."""
+        per_tenant = self.index.tenant_bytes
         if not per_tenant:
             return 0.0
-        return 1.0 - unique / per_tenant
+        return 1.0 - self.index.unique_bytes / per_tenant
 
     def isolation_audit(self) -> List[str]:
         """Cross-check namespaces against the owner table; each returned

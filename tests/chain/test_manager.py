@@ -15,9 +15,11 @@ from repro.chain import (
     ChainStateError,
     chunk_slices,
 )
+from repro.chain.node import chunk_lengths
 from repro.core.config import DumpConfig
 from repro.simmpi.trace import Trace
 from repro.storage.local_store import Cluster
+from repro.storage.manifest import Manifest
 from repro.svc.index import GlobalDedupIndex
 
 N = 3
@@ -49,6 +51,22 @@ class TestChunkSlices:
 
     def test_empty_geometry(self):
         assert chunk_slices([], CHUNK) == []
+
+    @pytest.mark.parametrize("segments", [
+        [], [0], [1], [CHUNK], [CHUNK + 1, 0, 3 * CHUNK, 7],
+        [0, 0, 2 * CHUNK - 1], [5 * CHUNK + 999, CHUNK // 2, CHUNK],
+    ])
+    def test_chunk_lengths_match_slices(self, segments):
+        slices = chunk_slices(segments, CHUNK)
+        lengths = [length for _seg, _start, length in slices]
+        assert chunk_lengths(segments, CHUNK) == lengths
+        for positions in (
+            list(range(len(slices))), list(range(0, len(slices), 2)),
+            list(range(1, len(slices), 3)), [],
+        ):
+            assert chunk_lengths(segments, CHUNK, positions) == [
+                lengths[i] for i in positions
+            ]
 
 
 class TestDump:
@@ -197,6 +215,50 @@ class TestPrune:
         for node in manager.cluster.nodes:
             stored.update(node.chunks.fingerprints())
         assert stored == set(expected)
+
+    def test_pins_match_slice_table_reference(self):
+        """Pins of a full and of a delta epoch are byte-identical to ones
+        built from the full ``chunk_slices`` table."""
+        # this seed keeps a short tail chunk referenced in both pins
+        manager, _ = make_chain(depth=2, seed=3)
+        manager.prune(0)
+        manager.prune(1)
+        short_tails = set()
+        for epoch in (0, 1):
+            node = manager.nodes[epoch]
+            assert node.retired
+            for rank in range(N):
+                slices = chunk_slices(node.segment_lengths[rank], CHUNK)
+                written = (
+                    range(len(slices)) if node.kind == "full"
+                    else node.positions[rank]
+                )
+                kept = [
+                    (fp, slices[i][2])
+                    for i, fp in zip(written, node.fps[rank])
+                    if manager.index.has(fp)
+                ]
+                if any(length < CHUNK for _fp, length in kept):
+                    short_tails.add(node.kind)
+                reference = Manifest(
+                    rank=rank,
+                    dump_id=node.dump_id,
+                    segment_lengths=[length for _fp, length in kept],
+                    fingerprints=[fp for fp, _length in kept],
+                    chunk_size=CHUNK,
+                    compressed=False,
+                    delta=True,
+                ).to_bytes()
+                holders = [
+                    store_node for store_node in manager.cluster.nodes
+                    if store_node.has_manifest(rank, node.dump_id)
+                ]
+                assert holders
+                for store_node in holders:
+                    assert store_node.get_manifest_blob(
+                        rank, node.dump_id
+                    ) == reference
+        assert short_tails == {"full", "delta"}
 
     def test_double_prune_rejected(self):
         manager, _ = make_chain(depth=2)

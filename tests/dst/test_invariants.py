@@ -203,3 +203,42 @@ class TestSLODeterminism:
         service.slo.alerts.pop()  # would be a violation...
         service.timeline.dropped = 1  # ...but replay is no longer sound
         assert inv.check_slo_determinism(service, step=3) == []
+
+
+class TestCrossTenantAccounting:
+    def shared_service(self):
+        from repro.svc import CheckpointService, TenantWorkload
+
+        service = CheckpointService(
+            3, config=DumpConfig(replication_factor=2, chunk_size=64),
+            shard_count=2,
+        )
+        for t in range(2):
+            service.register_tenant(f"t{t}")
+            service.submit(
+                f"t{t}", TenantWorkload(t, overlap=0.5, chunks_per_rank=8,
+                                        chunk_size=64),
+            )
+        service.drain()
+        assert service.cross_tenant_dedup_ratio() > 0
+        return service
+
+    def test_healthy_service_is_silent(self):
+        service = self.shared_service()
+        assert inv.check_cross_tenant_accounting(service, step=1) == []
+
+    def test_unique_bytes_drift_detected(self):
+        service = self.shared_service()
+        service.index._shards[0].unique_bytes += 1
+        details = [
+            v.detail for v in inv.check_cross_tenant_accounting(service, 1)
+        ]
+        assert any("running total" in d for d in details)
+        assert any("dedup ratio" in d for d in details)
+
+    def test_tenant_bytes_drift_detected(self):
+        service = self.shared_service()
+        service.index._shards[1].tenant_bytes -= 64
+        (violation,) = inv.check_cross_tenant_accounting(service, 1)
+        assert violation.invariant == "cross-tenant-accounting"
+        assert "recounted from live manifests" in violation.detail

@@ -9,9 +9,11 @@ from repro.chain import ChainBrokenError, ChainStateError
 from repro.core.config import DumpConfig
 from repro.svc import (
     CheckpointService,
+    GlobalDedupIndex,
     QuotaExceededError,
     TenantQuota,
 )
+from repro.svc.report import build_report
 
 N = 3
 CS = 64
@@ -219,6 +221,16 @@ class TestSharedIndexIsolation:
         assert not service.isolation_audit()
 
 
+def owned_by(tenant, entry):
+    """Brute force: does ``tenant`` (or one of its chain epochs) hold a
+    live reference to the entry's chunk?"""
+    return any(
+        refs > 0
+        and (owner == tenant or owner.startswith(f"{tenant}/chain:"))
+        for owner, refs in entry.refs.items()
+    )
+
+
 def reference_dedup_ratio(service):
     """Brute force: each tenant's footprint is every chunk it or one of
     its ``<tenant>/chain:<epoch>`` owners references."""
@@ -227,14 +239,7 @@ def reference_dedup_ratio(service):
     per_tenant = 0
     for tenant in service.tenants():
         per_tenant += sum(
-            entry.size
-            for entry in entries
-            if any(
-                refs > 0 and (
-                    owner == tenant or owner.startswith(f"{tenant}/chain:")
-                )
-                for owner, refs in entry.refs.items()
-            )
+            entry.size for entry in entries if owned_by(tenant, entry)
         )
     return 1.0 - unique / per_tenant if per_tenant else 0.0
 
@@ -257,6 +262,76 @@ class TestCrossTenantRatioWithChains:
         service.chain_gc("a")
         ratio = service.cross_tenant_dedup_ratio()
         assert 0.0 <= ratio < 1.0
+        assert ratio == pytest.approx(reference_dedup_ratio(service))
+
+
+def mixed_service(attribution):
+    """a: a full and 3 deltas; b: a full, 1 delta and a service dump."""
+    service = make_service(attribution=attribution)
+    for name in ("a", "b"):
+        service.register_tenant(name)
+    grow_chain(service, "a", make_workload(seed=7), deltas=3)
+    grow_chain(service, "b", make_workload(seed=7), deltas=1)
+    service.submit("b", make_workload(seed=8))
+    service.drain()
+    return service
+
+
+class TestBillingWithChains:
+    @pytest.mark.parametrize("policy", ["first-writer", "split"])
+    def test_chain_epochs_are_billed_to_their_tenant(self, policy):
+        service = mixed_service(policy)
+        report = build_report(service)
+        entries = [entry for _fp, entry in service.index.items()]
+        assert report.unique_bytes == sum(entry.size for entry in entries)
+        assert sum(
+            t.charged_bytes for t in report.tenants
+        ) == pytest.approx(report.unique_bytes)
+        for t in report.tenants:
+            mine = [e for e in entries if owned_by(t.tenant, e)]
+            others = [o for o in service.tenants() if o != t.tenant]
+            shared = [
+                e for e in mine if any(owned_by(o, e) for o in others)
+            ]
+            assert t.referenced_bytes == sum(e.size for e in mine) > 0
+            assert t.shared_bytes == sum(e.size for e in shared) > 0
+            assert t.charged_bytes > 0
+        assert report.cross_tenant_shared_bytes == sum(
+            e.size for e in entries
+            if sum(owned_by(name, e) for name in service.tenants()) > 1
+        )
+        service.chain_gc("a")
+        charged = service.index.charged_bytes(service.tenants(), policy)
+        assert sum(charged.values()) == pytest.approx(
+            service.index.unique_bytes
+        )
+
+
+class TestAccountingCost:
+    def test_requests_never_scan_the_index(self, monkeypatch):
+        """Dumps, GC and chain epochs keep the cross-tenant gauge current
+        without one pass over the index."""
+        calls = []
+        items = GlobalDedupIndex.items
+
+        def counted(self):
+            calls.append(1)
+            return items(self)
+
+        monkeypatch.setattr(GlobalDedupIndex, "items", counted)
+        service = make_service()
+        for name in ("a", "b"):
+            service.register_tenant(name)
+        workload = make_workload(seed=7)
+        for name in ("a", "b"):
+            service.submit(name, workload)
+        service.drain()
+        service.gc("a", 0)
+        grow_chain(service, "a", workload, deltas=2)
+        service.chain_gc("a")
+        assert calls == []
+        ratio = service.cross_tenant_dedup_ratio()
+        assert 0.0 < ratio < 1.0
         assert ratio == pytest.approx(reference_dedup_ratio(service))
 
 

@@ -1,8 +1,13 @@
-"""Global dedup index: reference counting and attribution policies."""
+"""Global dedup index: reference counting, attribution policies and the
+running cross-tenant totals."""
 
 import hashlib
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.svc import GlobalDedupIndex
 
@@ -93,3 +98,121 @@ class TestAccounting:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             self.make_index().charged_bytes(["a"], policy="auction")
+
+
+def recount(index):
+    """Brute force over every entry: ``(unique_bytes, per-tenant bytes,
+    dedup ratio)`` with chain-epoch owners folded by hand."""
+    unique = per_tenant = 0
+    for _fp, entry in index.items():
+        tenants = {
+            owner.split("/chain:")[0]
+            for owner, refs in entry.refs.items() if refs > 0
+        }
+        unique += entry.size
+        per_tenant += entry.size * len(tenants)
+    ratio = 1.0 - unique / per_tenant if per_tenant else 0.0
+    return unique, per_tenant, ratio
+
+
+def totals(index):
+    per_tenant = index.tenant_bytes
+    ratio = 1.0 - index.unique_bytes / per_tenant if per_tenant else 0.0
+    return index.unique_bytes, per_tenant, ratio
+
+
+OWNERS = ["t1", "t1/chain:3", "t1/chain:4", "t2", "t2/chain:0", "t3"]
+
+
+class TestRunningTotals:
+    def test_chain_epochs_fold_into_their_tenant(self):
+        index = GlobalDedupIndex()
+        index.record("t1", fp(0), 100)
+        index.record("t1/chain:3", fp(0), 100)
+        index.record("t1/chain:4", fp(0), 100)
+        entry = index.get(fp(0))
+        assert entry.holders == {"t1": 3}
+        assert entry.tenants == ["t1"]
+        assert index.tenant_bytes == 100
+        assert index.cross_tenant_shared_bytes == 0
+        index.record("t2/chain:0", fp(0), 100)
+        assert entry.tenants == ["t1", "t2"]
+        assert index.tenant_bytes == 200
+        assert index.release("t1", fp(0)) == (3, True)
+        assert index.release("t2/chain:0", fp(0)) == (2, True)
+        assert index.tenant_bytes == 100
+        # a tenant's own other epoch is not another tenant
+        assert index.release("t1/chain:3", fp(0)) == (1, False)
+        assert index.release("t1/chain:4", fp(0)) == (0, False)
+        assert (index.unique_bytes, index.tenant_bytes) == (0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shard_count=st.sampled_from([1, 8]),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(OWNERS),
+                st.integers(0, 11),
+            ),
+            max_size=80,
+        ),
+    )
+    def test_totals_match_recount_after_every_operation(
+        self, shard_count, ops
+    ):
+        index = GlobalDedupIndex(shard_count=shard_count)
+        for is_record, owner, i in ops:
+            if is_record:
+                index.record(owner, fp(i), 10 + 7 * i)
+            else:
+                index.release(owner, fp(i))
+            assert totals(index) == recount(index)
+            assert index.unique_bytes == sum(
+                entry.size for _fp, entry in index.items()
+            )
+
+
+class TestConcurrentTotals:
+    def test_threads_keep_totals_exact(self):
+        """8 threads (more than the cores) record and release overlapping
+        fingerprints with a tiny switch interval; a lost update under the
+        shard locks would leave the totals off the recount."""
+        index = GlobalDedupIndex(shard_count=2)
+        owners = ["t%d" % (i % 3) + ("/chain:%d" % i if i % 2 else "")
+                  for i in range(8)]
+        start = threading.Barrier(len(owners), timeout=60)
+        errors = []
+
+        def worker(owner, offset):
+            try:
+                start.wait()
+                held = [fp((offset + j) % 16) for j in range(8)]
+                for _ in range(300):
+                    # every record/release moves a refcount across 0/1
+                    for f in held:
+                        index.record(owner, f, 64)
+                    for f in held:
+                        index.release(owner, f)
+                for f in held[::2]:
+                    index.record(owner, f, 64)
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(owner, 3 * i))
+                for i, owner in enumerate(owners)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors
+        assert totals(index) == recount(index)
+        assert index.tenant_bytes > index.unique_bytes > 0
